@@ -1,7 +1,7 @@
 //! Deterministic supervision: bounded retry-with-backoff from checkpoints.
 //!
 //! A [`Supervisor`] runs a resumable job (typically a checkpointed synthesis
-//! flow) under the global [`budget`](crate::budget) meter. When an attempt
+//! flow) under the global [`budget`] meter. When an attempt
 //! fails with a *retryable* error, the supervisor burns a deterministic
 //! backoff — measured in **candidate evaluations charged to the budget, not
 //! wall-clock time**, so supervised transcripts are byte-reproducible — and

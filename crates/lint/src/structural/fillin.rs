@@ -7,7 +7,7 @@
 //! controlled-source blocks), picks an AMD elimination order ([`order`]),
 //! and replays symbolic elimination on that order exactly. Fill is counted
 //! as **two** per new undirected edge so the number is directly comparable
-//! to the sparse kernels' `fill_in`, which counts vacant positions created.
+//! to the sparse kernel's `fill_in`, which counts vacant positions created.
 //!
 //! Structurally *nonsingular* patterns never come through here: the
 //! analyzer forecasts those on the composed BTF∘AMD order instead (see

@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use ams_bench::table1_report::FILL_BAND;
 use ams_trace::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -135,8 +136,8 @@ impl Default for DiffOptions {
         // `fill_ratio` is actual-over-forecast fill of the sparse DC
         // factorization. Both sides are deterministic for a fixed build,
         // but the ratio legitimately moves when either the AMD ordering
-        // or a kernel's pivot tie-breaks are retuned; the hard accuracy
-        // gate is the 2.5× band asserted by the bench and the test
+        // or the kernel's pivot tie-breaks are retuned; the hard accuracy
+        // gate is the `FILL_BAND` asserted by the bench and the test
         // battery, so report diffs only flag drift beyond 5%.
         tolerances.insert("fill_ratio".to_string(), 0.05);
         // `evals_per_sec` is throughput (work over wall time) and is
@@ -393,10 +394,10 @@ pub fn summary(v: &Value) -> String {
                 g("btf_blocks")
             );
             if let Some(ratio) = r.get("fill_ratio").and_then(Value::as_f64) {
-                if !(0.4..=2.5).contains(&ratio) {
+                if !(1.0 / FILL_BAND..=FILL_BAND).contains(&ratio) {
                     let _ = writeln!(
                         out,
-                        "      ^ WARNING: fill forecast off {ratio:.2}x — outside the 2.5x band"
+                        "      ^ WARNING: fill forecast off {ratio:.2}x — outside the {FILL_BAND}x band"
                     );
                 }
             }

@@ -6,10 +6,11 @@
 //! in `ams-awe` is benchmarked against (experiment E7).
 
 use crate::backend::Backend;
+use crate::csc::CscLu;
 use crate::error::SimError;
 use crate::linalg::{CMatrix, Complex};
 use crate::mna::LinearNet;
-use crate::sparse::{solve_cached, SparseFactor, Triplets};
+use crate::sparse::{solve_cached, Triplets};
 
 /// Result of an AC sweep at one output unknown.
 #[derive(Debug, Clone)]
@@ -174,7 +175,7 @@ pub fn solve_at(net: &LinearNet, s: Complex) -> Result<Vec<Complex>, SimError> {
             let pattern = complex_pattern(net);
             let t = assemble_complex(net, &pattern, s, false);
             let b: Vec<Complex> = net.b.iter().map(|&v| Complex::real(v)).collect();
-            Ok(SparseFactor::factor(&t, None)?.solve_refined(&t, &b))
+            Ok(CscLu::factor(&t, None)?.solve_refined(&t, &b))
         }
     }
 }
@@ -204,7 +205,7 @@ pub(crate) fn sweep_net(
         Backend::Sparse => {
             let pattern = complex_pattern(net);
             let b: Vec<Complex> = net.b.iter().map(|&v| Complex::real(v)).collect();
-            let mut lu: Option<SparseFactor<Complex>> = None;
+            let mut lu: Option<CscLu<Complex>> = None;
             for &f in freqs {
                 let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
                 let t = assemble_complex(net, &pattern, s, false);

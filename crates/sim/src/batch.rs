@@ -18,7 +18,7 @@
 //! to the unbatched path while skipping the per-candidate analysis.
 //!
 //! What is deliberately *not* shared: numeric LU factors. The sparse
-//! kernels choose pivots by relative-magnitude threshold, which depends
+//! kernel chooses pivots by relative-magnitude threshold, which depends
 //! on matrix values; replaying a prototype's pivot order onto a
 //! different candidate's values could diverge bitwise from that
 //! candidate's own fresh factorization. Sharing only value-independent

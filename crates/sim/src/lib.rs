@@ -24,10 +24,9 @@
 //! (see `ams-rail`) automatically switch to the sparse backend at
 //! [`Backend::AUTO_SPARSE_DIM`] unknowns, overridable with the
 //! `AMS_SIM_BACKEND` environment variable or [`SimSession::with_backend`].
-//! Within the sparse backend, device-sized systems factor on the Markowitz
-//! kernel in [`sparse`] and grid-scale ones on the KLU-style BTF∘AMD + CSC
-//! kernel in [`csc`] (threshold [`sparse::CSC_MIN_DIM`]; override with
-//! `AMS_SPARSE_KERNEL=markowitz|csc`).
+//! Every sparse factorization runs on one kernel: the KLU-style BTF∘AMD +
+//! CSC LU in [`csc`], with triplet assembly and the factor-or-refactor
+//! cache in [`sparse`].
 //!
 //! # Example
 //!
@@ -76,7 +75,5 @@ pub use linalg::{CMatrix, Complex, Lu, Matrix, SingularMatrix};
 pub use mna::{output_index, LinearNet, MnaLayout, Stamper};
 pub use noise::{noise_sources, NoiseKind, NoiseResult, NoiseSource};
 pub use session::SimSession;
-pub use sparse::{
-    BlockStructure, RefactorError, Scalar, SparseFactor, SparseKernel, SparseLu, Triplets,
-};
+pub use sparse::{BlockStructure, RefactorError, Scalar, Triplets};
 pub use tran::TranResult;

@@ -9,6 +9,7 @@ use ams_netlist::{Circuit, Device, NodeId};
 use std::collections::BTreeMap;
 
 use crate::backend::Backend;
+use crate::csc::CscLu;
 use crate::linalg::{Matrix, SingularMatrix};
 use crate::sparse::Triplets;
 
@@ -75,7 +76,7 @@ pub(crate) enum StamperMatrix {
     /// Dense storage for small systems.
     Dense(Matrix),
     /// Triplet list for the sparse backend; the push *sequence* is the
-    /// pattern key that lets [`SparseLu::refactor`] skip symbolic analysis.
+    /// pattern key that lets [`CscLu::refactor`] skip symbolic analysis.
     Sparse(Triplets<f64>),
 }
 
@@ -216,9 +217,7 @@ impl Stamper {
     pub fn solve(self) -> Result<Vec<f64>, SingularMatrix> {
         match self.a {
             StamperMatrix::Dense(m) => Ok(m.lu()?.solve(&self.z)),
-            StamperMatrix::Sparse(t) => {
-                Ok(crate::sparse::SparseFactor::factor(&t, None)?.solve_refined(&t, &self.z))
-            }
+            StamperMatrix::Sparse(t) => Ok(CscLu::factor(&t, None)?.solve_refined(&t, &self.z)),
         }
     }
 }

@@ -12,11 +12,12 @@ use ams_netlist::{units, Circuit, Device};
 
 use crate::ac::{assemble_complex, complex_pattern};
 use crate::backend::Backend;
+use crate::csc::CscLu;
 use crate::dc::OpPoint;
 use crate::error::SimError;
 use crate::linalg::{CMatrix, Complex};
 use crate::mna::{LinearNet, MnaLayout};
-use crate::sparse::{solve_cached, SparseFactor};
+use crate::sparse::solve_cached;
 
 /// MOS channel thermal noise excess factor (long-channel value 2/3).
 const GAMMA_CHANNEL: f64 = 2.0 / 3.0;
@@ -155,7 +156,7 @@ pub(crate) fn analyze(
         Backend::Dense => Vec::new(),
         Backend::Sparse => complex_pattern(net),
     };
-    let mut cached: Option<SparseFactor<Complex>> = None;
+    let mut cached: Option<CscLu<Complex>> = None;
 
     for (fi, &f) in freqs.iter().enumerate() {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);

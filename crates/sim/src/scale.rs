@@ -1,4 +1,4 @@
-//! Power-of-two row/column equilibration for the CSC kernels.
+//! Power-of-two row/column equilibration for the CSC kernel.
 //!
 //! Grid-scale MNA matrices mix conductance stamps spanning many decades
 //! (milliohm pad resistors next to gigohm gmin entries), which makes

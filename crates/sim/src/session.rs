@@ -33,12 +33,13 @@ use ams_netlist::Circuit;
 
 use crate::ac::{sweep_net, AcSweep};
 use crate::backend::Backend;
+use crate::csc::CscLu;
 use crate::dc::{self, OpPoint};
 use crate::error::SimError;
 use crate::linalg::SingularMatrix;
 use crate::mna::{output_index, LinearNet, MnaLayout, Stamper, StamperMatrix};
 use crate::noise::{self, NoiseResult};
-use crate::sparse::{BlockStructure, SparseFactor};
+use crate::sparse::BlockStructure;
 use crate::tran::{self, TranResult};
 
 /// Which cached real factorization slot a solve belongs to. DC and
@@ -68,8 +69,8 @@ pub struct SimSession<'c> {
     backend: Backend,
     op_cache: Mutex<Option<OpPoint>>,
     net_cache: Mutex<Option<Arc<LinearNet>>>,
-    dc_lu: Mutex<Option<SparseFactor<f64>>>,
-    tran_lu: Mutex<Option<SparseFactor<f64>>>,
+    dc_lu: Mutex<Option<CscLu<f64>>>,
+    tran_lu: Mutex<Option<CscLu<f64>>>,
     structural: Mutex<Option<Arc<StructuralAnalysis>>>,
 }
 
@@ -351,12 +352,11 @@ impl<'c> SimSession<'c> {
                 let mut guard = cache.lock().unwrap();
                 // Hand the analyzer's BTF permutation to a fresh DC
                 // factorization: the CSC kernel nests its AMD order inside
-                // the block partition, and either kernel carries it as
-                // metadata. Cheap: cloned only when no factorization is
-                // cached yet, and only when the structural pass already
-                // ran (the DC gate runs it before the first solve). The
-                // analyzer models the DC pattern, so the transient slot
-                // gets no hint.
+                // the block partition and keeps it attached. Cheap: cloned
+                // only when no factorization is cached yet, and only when
+                // the structural pass already ran (the DC gate runs it
+                // before the first solve). The analyzer models the DC
+                // pattern, so the transient slot gets no hint.
                 let btf = if slot == RealSlot::Dc && guard.is_none() {
                     let structural = self.structural.lock().unwrap();
                     structural.as_ref().and_then(|a| a.btf.as_ref()).map(|b| {

@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test (workspace, default worker count) =="
 cargo test --workspace --offline -q
 
@@ -25,19 +28,12 @@ for backend in dense sparse; do
     AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail
 done
 
-echo "== dense/sparse backend equivalence (incl. Markowitz-vs-CSC kernel legs) =="
+echo "== dense/sparse backend equivalence (dense LU vs the CSC sparse kernel) =="
 cargo test --offline -q --test sparse_equivalence
 
 echo "== fill-reducing ordering: AMD permutation/determinism/forecast props =="
 cargo test --offline -q --test ordering_props
 AMS_EXEC_THREADS=1 cargo test --offline -q --test ordering_props
-
-echo "== forced sparse-kernel matrix (sim, both LU kernels) =="
-for kernel in markowitz csc; do
-    echo "--  AMS_SPARSE_KERNEL=$kernel"
-    AMS_SIM_BACKEND=sparse AMS_SPARSE_KERNEL=$kernel AMS_EXEC_THREADS=1 \
-        cargo test --offline -q -p ams-sim
-done
 
 echo "== exec determinism across worker counts =="
 cargo test --offline -q --test exec_determinism

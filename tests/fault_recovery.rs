@@ -254,9 +254,9 @@ fn interrupted_resumed_fault_runs_match_uninterrupted() {
 
 /// Coarse classification of a transcript: the ok/err shape of each
 /// workload stage plus the flow outcome, with all numeric payloads (param
-/// bits, iteration counts) stripped. Two solver kernels keep different
-/// floating-point trajectories, so only this shape — not the bytes — is
-/// comparable across kernels.
+/// bits, iteration counts) stripped. The dense and sparse backends keep
+/// different floating-point trajectories, so only this shape — not the
+/// bytes — is comparable across backends.
 fn classify(transcript: &str) -> Vec<String> {
     transcript
         .lines()
@@ -274,23 +274,21 @@ fn classify(transcript: &str) -> Vec<String> {
 }
 
 /// The LU fault sites live in the Newton loop (`ams_sim::dc`), above the
-/// kernel split: `lu_pivot` and `nan_residual` must fire and classify the
-/// same with the CSC kernel forced process-wide as with Markowitz, and
-/// same-seed CSC runs must stay byte-identical, counters included. The
-/// sparse backend is forced too, so the Newton loop actually runs on the
-/// kernel under test.
+/// backend split: `lu_pivot` and `nan_residual` must fire and classify the
+/// same with the sparse (CSC) backend forced process-wide as with the
+/// dense one, and same-seed CSC runs must stay byte-identical, counters
+/// included.
 #[test]
 fn lu_faults_fire_identically_on_the_csc_kernel() {
     let _l = lock();
-    std::env::set_var("AMS_SIM_BACKEND", "sparse");
     for kind in [FaultKind::LuPivot, FaultKind::NanResidual] {
         for seed in [11u64, 33] {
-            std::env::set_var("AMS_SPARSE_KERNEL", "csc");
+            std::env::set_var("AMS_SIM_BACKEND", "sparse");
             let (a, counters_a) = run_faulted(kind, seed);
             let (b, counters_b) = run_faulted(kind, seed);
-            std::env::set_var("AMS_SPARSE_KERNEL", "markowitz");
-            let (m, counters_m) = run_faulted(kind, seed);
-            std::env::remove_var("AMS_SPARSE_KERNEL");
+            std::env::set_var("AMS_SIM_BACKEND", "dense");
+            let (d, counters_d) = run_faulted(kind, seed);
+            std::env::remove_var("AMS_SIM_BACKEND");
             assert_eq!(a, b, "same-seed CSC run diverged: {kind} seed {seed}");
             assert_eq!(
                 counters_a, counters_b,
@@ -298,20 +296,19 @@ fn lu_faults_fire_identically_on_the_csc_kernel() {
             );
             assert_eq!(
                 classify(&a),
-                classify(&m),
-                "kernels classified differently: {kind} seed {seed}"
+                classify(&d),
+                "backends classified differently: {kind} seed {seed}"
             );
             let key = format!("guard.fault.{kind}");
             let fired = |c: &BTreeMap<String, u64>| c.get(&key).copied().unwrap_or(0);
             assert!(fired(&counters_a) > 0, "{kind} never fired on csc");
             assert_eq!(
                 fired(&counters_a),
-                fired(&counters_m),
-                "{kind} fired a different number of times across kernels"
+                fired(&counters_d),
+                "{kind} fired a different number of times across backends"
             );
         }
     }
-    std::env::remove_var("AMS_SIM_BACKEND");
 }
 
 /// The interrupted+resumed contract holds on the CSC kernel too: for both
@@ -323,7 +320,6 @@ fn lu_faults_fire_identically_on_the_csc_kernel() {
 fn interrupted_resumed_lu_faults_match_on_the_csc_kernel() {
     let _l = lock();
     std::env::set_var("AMS_SIM_BACKEND", "sparse");
-    std::env::set_var("AMS_SPARSE_KERNEL", "csc");
     for kind in [FaultKind::LuPivot, FaultKind::NanResidual] {
         let seed = 11u64;
         let (plain, counters_plain) = run_faulted(kind, seed);
@@ -338,7 +334,6 @@ fn interrupted_resumed_lu_faults_match_on_the_csc_kernel() {
             "interrupted+resumed CSC counters diverged: {kind} seed {seed}"
         );
     }
-    std::env::remove_var("AMS_SPARSE_KERNEL");
     std::env::remove_var("AMS_SIM_BACKEND");
 }
 

@@ -1,42 +1,22 @@
 //! Backend equivalence: every circuit the toolkit can simulate must produce
-//! the same answer on the dense backend and on *both* sparse LU kernels —
-//! the Markowitz right-looking kernel and the KLU-style BTF∘AMD + CSC
-//! left-looking kernel.
+//! the same answer on the dense backend and on the sparse backend's
+//! KLU-style BTF∘AMD + CSC left-looking kernel.
 //!
 //! Dense LU with partial pivoting is the trusted reference (it is gated by
-//! the analytic golden tests). The sparse paths share the Newton loop and
+//! the analytic golden tests). The sparse path shares the Newton loop and
 //! the stamps, so any divergence beyond roundoff accumulation is a pivot,
 //! ordering, or fill-in bug in `ams_sim::sparse` / `ams_sim::csc`. The
 //! gate is 1e-9 — absolute near zero, relative elsewhere — far above the
 //! ~1e-13 observed from pivot-order differences, far below any physical
 //! effect.
 //!
-//! Kernel selection is forced through the process-wide `AMS_SPARSE_KERNEL`
-//! override, so every test that sets it (or `AMS_SIM_BACKEND`) serializes
-//! on [`ENV_LOCK`]; the remaining tests are kernel-agnostic — their
-//! dense-vs-sparse bound holds whichever kernel the override leaves
-//! active.
+//! Tests pin their backend explicitly, so the one test that sets the
+//! process-wide `AMS_SIM_BACKEND` override does not disturb the others.
 
 use ams::prelude::*;
 use ams_prng::{Rng, SeedableRng, SmallRng};
 use ams_sim::Backend;
 use ams_topology::BlockClass;
-use std::sync::{Mutex, MutexGuard};
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Runs `f` with `AMS_SPARSE_KERNEL` pinned, holding the env lock.
-fn with_kernel<R>(kernel: &str, f: impl FnOnce() -> R) -> R {
-    let _l = env_lock();
-    std::env::set_var("AMS_SPARSE_KERNEL", kernel);
-    let r = f();
-    std::env::remove_var("AMS_SPARSE_KERNEL");
-    r
-}
 
 /// |a − b| ≤ 1e-9·max(|b|, 1) element-wise over two solution vectors.
 fn assert_vectors_close(dense: &[f64], sparse: &[f64], what: &str) {
@@ -94,15 +74,14 @@ fn every_exemplar_deck_agrees_across_backends() {
     assert_eq!(check_exemplar_decks("auto"), 6, "exemplar coverage shrank");
 }
 
-/// The same six exemplars with the CSC kernel forced for every sparse
-/// factorization: the left-looking kernel, its AMD ordering, and its
-/// equilibration pass hold the 1e-9 dense-equivalence bound on small,
-/// unsymmetric, nonlinear systems — not just on the grids it was built
-/// for.
+/// The CSC kernel's leg of the exemplar contract: the left-looking kernel,
+/// its AMD ordering, and its equilibration pass hold the 1e-9
+/// dense-equivalence bound on small, unsymmetric, nonlinear systems — not
+/// just on the grids it was built for. Every sparse solve runs on CSC, so
+/// this leg repeats the solves of the one above.
 #[test]
 fn every_exemplar_deck_agrees_on_the_csc_kernel() {
-    let checked = with_kernel("csc", || check_exemplar_decks("csc"));
-    assert_eq!(checked, 6, "exemplar coverage shrank");
+    assert_eq!(check_exemplar_decks("csc"), 6, "exemplar coverage shrank");
 }
 
 /// 32×32 power grid (≈1k unknowns, past the auto-sparse threshold): the
@@ -111,19 +90,6 @@ fn every_exemplar_deck_agrees_on_the_csc_kernel() {
 /// tap sees the deepest droop.
 #[test]
 fn power_grid_32x32_drop_map_agrees() {
-    power_grid_32x32_drop_map("auto");
-}
-
-/// The 32×32 grid again with the Markowitz kernel pinned: at ≈1k unknowns
-/// the auto threshold picks CSC, so this leg keeps the right-looking
-/// kernel honest on the exact same physics and cross-checks the two
-/// kernels against each other through the shared dense reference.
-#[test]
-fn power_grid_32x32_drop_map_agrees_on_markowitz() {
-    with_kernel("markowitz", || power_grid_32x32_drop_map("markowitz"));
-}
-
-fn power_grid_32x32_drop_map(label: &str) {
     use ams::rail::{GridSpec, PowerGrid};
     let spec = GridSpec::synthetic(32);
     let vdd = spec.vdd;
@@ -134,7 +100,7 @@ fn power_grid_32x32_drop_map(label: &str) {
     let op_dense = SimSession::with_backend(&ckt, Backend::Dense)
         .op()
         .expect("dense 32x32 grid DC");
-    assert_vectors_close(&op_dense.x, &op_sparse.x, &format!("32x32 grid [{label}]"));
+    assert_vectors_close(&op_dense.x, &op_sparse.x, "32x32 grid");
 
     // Drop map sanity on the sparse solution.
     let v = |x: usize, y: usize| {
@@ -176,7 +142,7 @@ fn random_r_network(rng: &mut SmallRng) -> Circuit {
         nodes.push(id);
     }
     // Ground-anchored chain keeps the network connected; random chords
-    // vary the sparsity pattern and the Markowitz pivot order.
+    // vary the sparsity pattern, the AMD order and the pivot choice.
     for u in 0..n_nodes {
         let ohms = rng.gen_range(10.0..1e3);
         ckt.add(
@@ -215,52 +181,15 @@ fn random_r_networks_agree_across_backends() {
     }
 }
 
-/// The same property with the CSC kernel forced (fresh seed, 64 new
-/// networks): AMD ordering, equilibration, and the left-looking update
-/// hold the dense bound on arbitrary small patterns.
+/// The same property on 64 fresh networks (second seed): AMD ordering,
+/// equilibration, and the left-looking update hold the dense bound on
+/// arbitrary small patterns.
 #[test]
 fn random_r_networks_agree_on_the_csc_kernel() {
-    with_kernel("csc", || {
-        let mut rng = SmallRng::seed_from_u64(0x5fa6_0011);
-        for case in 0..64 {
-            let ckt = random_r_network(&mut rng);
-            solve_both(&ckt, &format!("random R network (csc) case {case}"));
-        }
-    });
-}
-
-/// Kernel cross-check without the dense intermediary: the Markowitz and
-/// CSC kernels solve the same stamped systems to within the 1e-9 bound of
-/// each other, on random networks and on a grid past the auto-CSC
-/// threshold.
-#[test]
-fn markowitz_and_csc_kernels_agree() {
-    use ams::rail::{GridSpec, PowerGrid};
-    let mut rng = SmallRng::seed_from_u64(0x5fa6_0021);
-    let mut circuits: Vec<(String, Circuit)> = (0..16)
-        .map(|case| {
-            (
-                format!("cross-check case {case}"),
-                random_r_network(&mut rng),
-            )
-        })
-        .collect();
-    circuits.push((
-        "cross-check 24x24 grid".into(),
-        PowerGrid::uniform(GridSpec::synthetic(24), 10e-6).to_circuit(),
-    ));
-    for (what, ckt) in &circuits {
-        let mk = with_kernel("markowitz", || {
-            SimSession::with_backend(ckt, Backend::Sparse)
-                .op()
-                .unwrap_or_else(|e| panic!("{what}: markowitz solve failed: {e}"))
-        });
-        let csc = with_kernel("csc", || {
-            SimSession::with_backend(ckt, Backend::Sparse)
-                .op()
-                .unwrap_or_else(|e| panic!("{what}: csc solve failed: {e}"))
-        });
-        assert_vectors_close(&mk.x, &csc.x, what);
+    let mut rng = SmallRng::seed_from_u64(0x5fa6_0011);
+    for case in 0..64 {
+        let ckt = random_r_network(&mut rng);
+        solve_both(&ckt, &format!("random R network (csc) case {case}"));
     }
 }
 
@@ -273,10 +202,8 @@ fn seeded_runs_byte_identical_across_thread_counts_with_sparse() {
     use ams::core::{table1_spec, SimulatedPulseDetectorModel};
     use ams_sizing::{evolve, GaConfig, PerfModel};
 
-    // Process-wide override, so serialize with every other env-touching
-    // test; the remaining tests pin their backend explicitly and hold the
-    // dense bound on either kernel, so they are unaffected.
-    let _l = env_lock();
+    // Process-wide override; the remaining tests pin their backend
+    // explicitly, so they are unaffected.
     std::env::set_var("AMS_SIM_BACKEND", "sparse");
     assert_eq!(Backend::auto_for(2), Backend::Sparse, "override not active");
 

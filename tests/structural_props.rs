@@ -9,9 +9,8 @@
 //! conductances the stamped matrix is an irreducibly diagonally dominant
 //! M-matrix, so there the verdicts must agree exactly in both directions.
 //!
-//! The fill-in forecast is held to a documented accuracy band against the
-//! sparse LU kernels (Markowitz below the CSC size threshold, BTF∘AMD +
-//! CSC above it) on the same grids the `grid_scaling` bench runs.
+//! The fill-in forecast's accuracy band against the CSC kernel is pinned
+//! in `ordering_props.rs`.
 
 use ams::prelude::*;
 use ams_lint::{analyze_circuit_structure, analyze_deck_structure, RuleCode};
@@ -226,54 +225,5 @@ fn e008_rendering_is_byte_identical_across_repeats() {
         let a = analyze_deck_structure(deck).expect("parse");
         assert_eq!(a.report().render_human(), reference_human);
         assert_eq!(a.report().render_json(), reference_json);
-    }
-}
-
-/// Predicted vs actual fill-in on the bench's power grids, sizes 8..48.
-///
-/// The forecast is the *exact* symbolic fill of the composed BTF∘AMD
-/// elimination order — the same order the CSC kernel factors with — so
-/// the old 4x band (which the 64x64 grid violated at 24x under the
-/// Markowitz-era minimum-degree game) tightens to 2.5x, and in practice
-/// the forecast now errs mildly conservative instead of 24x optimistic.
-/// The residual slack covers the kernels' numeric deviations from the
-/// symbolic order: grids below the `CSC_MIN_DIM` threshold factor on
-/// threshold-pivoted Markowitz, whose greedy order beats AMD by up to
-/// ~2.4x on the smallest grid (measured ratios: 2.37 at 8x8, 1.63 at
-/// 16x16, ≤1.13 from 24x24 up); the larger grids factor on CSC, which
-/// follows the forecast order to within ~10%. The CSC-forced band is
-/// pinned tighter (2x) in `ordering_props.rs`.
-#[test]
-fn grid_fill_forecast_tracks_actual_sparse_fill() {
-    use ams::rail::{GridSpec, PowerGrid};
-    for n in [8usize, 16, 24, 32, 48] {
-        let ckt = PowerGrid::uniform(GridSpec::synthetic(n), 10e-6).to_circuit();
-        let analysis = analyze_circuit_structure(&ckt);
-        assert!(analysis.is_structurally_nonsingular(), "{n}x{n} grid");
-
-        // Actual fill from the `sim.sparse.fill_in` counter delta of one
-        // sparse solve. This test owns the trace toggle for the whole
-        // binary: no other test here performs sparse solves, so the delta
-        // is attributable to this factorization alone.
-        ams_trace::set_enabled(true);
-        let before = ams_trace::snapshot().counters;
-        let ses = ams_sim::SimSession::with_backend(&ckt, Backend::Sparse);
-        let op = ses.op().expect("grid DC");
-        let after = ams_trace::snapshot().counters;
-        ams_trace::set_enabled(false);
-        assert!(op.iterations > 0);
-        let delta = ams_trace::counters_delta(&before, &after);
-        let get = |key: &str| delta.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v);
-        // Per-factorization fill: Newton may factor the same pattern more
-        // than once, and the counter accumulates across factorizations.
-        let factors = get("sim.sparse.symbolic").max(1);
-        let actual = (get("sim.sparse.fill_in") / factors).max(1);
-        let predicted = analysis.predicted_fill.max(1);
-        let ratio = predicted as f64 / actual as f64;
-        assert!(
-            (0.4..=2.5).contains(&ratio),
-            "{n}x{n}: predicted {predicted} vs actual {actual} (ratio {ratio:.3}) \
-             outside the documented 2.5x band"
-        );
     }
 }
