@@ -56,7 +56,7 @@ pub struct CacheKey {
 /// Every optimizer front end — GA, annealer, simopt templates, equation
 /// models, polish — must derive its cache tag through this one function
 /// so that probes for the *same* cost function collide across
-/// generations, restarts, optimizers, and (with the persistent cache)
+/// generations, optimizers, and (with the persistent cache)
 /// across process runs. Ad-hoc per-callsite tag constants defeat the
 /// cache: two sites evaluating the same model under different tags never
 /// share an entry.
@@ -72,16 +72,6 @@ pub fn cache_tag(name: &str) -> u64 {
 }
 
 impl CacheKey {
-    /// Builds the key for `(tag, x)`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "derive the tag with `cache_tag(name)` and build keys via \
-                `CacheKey::for_candidate` so probes collide across optimizers"
-    )]
-    pub fn new(tag: u64, x: &[f64]) -> Self {
-        Self::for_candidate(tag, x)
-    }
-
     /// The canonical key-construction path: quantizes every coordinate of
     /// a candidate's parameter vector under a [`cache_tag`]-derived
     /// namespace tag. All optimizers build keys here so identical

@@ -1,11 +1,9 @@
-//! Shared vocabulary for checkpointed optimizer runs.
+//! Vocabulary for checkpointed optimizer runs.
 //!
-//! The annealer checkpoints at temperature-stage boundaries
-//! ([`anneal_ckpt`](crate::anneal::anneal_ckpt)), the multi-start wrapper
-//! at chain boundaries
-//! ([`anneal_restarts_ckpt`](crate::anneal::anneal_restarts_ckpt)), and the
-//! GA at generation boundaries ([`evolve_ckpt`](crate::genetic::evolve_ckpt)).
-//! All three share the same contract:
+//! The GA checkpoints at generation boundaries
+//! ([`evolve_ckpt`](crate::genetic::evolve_ckpt)); the annealer has no
+//! checkpoints of its own, because the flow journals sizing as one whole
+//! stage (`ams_core::ckpt`). The contract:
 //!
 //! * Every boundary commits the complete optimizer state — parameter
 //!   vectors, incumbent/best costs, loop counters, the serialized
@@ -35,8 +33,7 @@ pub struct CkptRun<'a> {
     /// Journal to resume from and commit to.
     pub store: &'a mut CkptStore,
     /// If set, halt (deterministically) right after committing this
-    /// boundary index — stage for the annealer, chain for the restart
-    /// wrapper, generation for the GA.
+    /// GA generation index.
     pub halt_after: Option<usize>,
 }
 

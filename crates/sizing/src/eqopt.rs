@@ -6,7 +6,7 @@
 //! optimization". A [`PerfModel`] is such an equation set; [`optimize`]
 //! couples it to the shared annealing engine.
 
-use crate::anneal::{anneal_cached, AnnealConfig, AnnealResult, ParamDef};
+use crate::anneal::{anneal, AnnealConfig, AnnealResult, ParamDef};
 use crate::cost::{eval_tag, CostCompiler, Perf};
 use ams_exec::{EvalCacheHandle, EvalCachePolicy};
 use ams_netlist::Technology;
@@ -71,11 +71,10 @@ pub fn optimize<M: PerfModel>(model: &M, spec: &Spec, config: &AnnealConfig) -> 
         &EvalCachePolicy::FromEnv,
         ams_exec::workload_fingerprint(&[identity.as_str(), spec_repr.as_str()]),
     );
-    let result: AnnealResult = anneal_cached(
+    let result: AnnealResult = anneal(
         &params,
         config,
-        eval_tag(&identity, spec),
-        handle.cache(),
+        Some((eval_tag(&identity, spec), handle.cache())),
         |x| compiler.cost(&model.evaluate(x)),
     );
     handle.commit();

@@ -9,7 +9,7 @@
 //! strategies inside the same loop, so experiment E2/E7 can quantify the
 //! trade-off directly.
 
-use crate::anneal::{anneal_restarts_cached, AnnealConfig, ParamDef};
+use crate::anneal::{anneal, AnnealConfig, ParamDef};
 use crate::cost::{eval_tag, CostCompiler, Perf};
 use crate::eqopt::SizingResult;
 use ams_awe::AweModel;
@@ -67,31 +67,16 @@ pub trait SimulatedTemplate: Sync {
 /// Sizes a simulated template against a spec by annealing, calling the
 /// simulator at every iteration (the Fig. 1b loop with a simulator in the
 /// "evaluate performance" box).
+///
+/// Evaluations are memoized through the eval cache exactly as in
+/// [`crate::optimize`]: `AMS_EVAL_CACHE` selects `off`, `memory` (the
+/// default) or `disk`, and disk mode commits the entries when the run
+/// completes.
 pub fn synthesize<T: SimulatedTemplate>(
     template: &T,
     spec: &Spec,
     ac: AcEvaluator,
     config: &AnnealConfig,
-) -> SizingResult {
-    synthesize_restarts(template, spec, ac, config, 1)
-}
-
-/// Multi-start variant of [`synthesize`]: runs `restarts` independent
-/// annealing chains (restart `i` anneals with a seed derived from
-/// `config.seed` and `i`; restart 0 uses `config.seed` unchanged, so one
-/// restart reproduces [`synthesize`] exactly) and keeps the best result.
-/// Chains are evaluated in parallel through `ams-exec`; the winner is
-/// chosen in restart order, so the outcome is thread-count independent.
-///
-/// # Panics
-///
-/// Panics if `restarts` is zero.
-pub fn synthesize_restarts<T: SimulatedTemplate>(
-    template: &T,
-    spec: &Spec,
-    ac: AcEvaluator,
-    config: &AnnealConfig,
-    restarts: usize,
 ) -> SizingResult {
     let params = template.params();
     let compiler = CostCompiler::new(spec.clone());
@@ -103,17 +88,10 @@ pub fn synthesize_restarts<T: SimulatedTemplate>(
         &EvalCachePolicy::FromEnv,
         ams_exec::workload_fingerprint(&[identity.as_str(), spec_repr.as_str()]),
     );
-    // Chains memoize against private caches seeded from the persistent
-    // snapshot (never a shared mutable cache — that would make hit/miss
-    // splits scheduling-dependent); the merged exports come back for the
-    // restart-boundary commit below.
-    let seed_entries = handle.cache().export_entries();
-    let (result, exports) = anneal_restarts_cached(
+    let result = anneal(
         &params,
         config,
-        restarts,
-        eval_tag(&identity, spec),
-        &seed_entries,
+        Some((eval_tag(&identity, spec), handle.cache())),
         |x| {
             let ckt = template.build(x);
             match template.measure(&ckt, ac) {
@@ -122,7 +100,6 @@ pub fn synthesize_restarts<T: SimulatedTemplate>(
             }
         },
     );
-    handle.absorb(&exports);
     handle.commit();
     let ckt = template.build(&result.x);
     let perf = template.measure(&ckt, ac).unwrap_or_default();

@@ -38,7 +38,7 @@ AMS_EXEC_THREADS=1 cargo test --offline -q --test ordering_props
 echo "== exec determinism across worker counts =="
 cargo test --offline -q --test exec_determinism
 
-echo "== eval-cache mode matrix (sizing suite under off/memory/disk) =="
+echo "== eval-cache mode matrix (sizing suite + synthesize determinism under off/memory/disk) =="
 # Directory form of AMS_EVAL_CACHE_PATH: each workload fingerprint gets
 # its own small journal, so per-boundary commits stay cheap.
 evalcache_tmp="$(mktemp -d)"
@@ -46,6 +46,8 @@ for mode in off memory disk; do
     echo "--  AMS_EVAL_CACHE=$mode"
     AMS_EVAL_CACHE=$mode AMS_EVAL_CACHE_PATH="$evalcache_tmp" \
         cargo test --offline -q -p ams-sizing
+    AMS_EVAL_CACHE=$mode AMS_EVAL_CACHE_PATH="$evalcache_tmp" \
+        cargo test --offline -q --test exec_determinism synthesize_run_is_identical_at_1_2_and_8_threads
 done
 rm -rf "$evalcache_tmp"
 

@@ -7,18 +7,21 @@
 //! * **Warm ≡ cold.** An optimizer run warm-started from a persisted
 //!   on-disk eval cache must reproduce the cold run bit-exactly; only
 //!   the hit/miss split may move (that is the point of the cache).
+//! * **Off means off.** `AMS_EVAL_CACHE=off` makes every request
+//!   compute — no hits — without changing the result.
 //! * **Corruption degrades, never panics.** A damaged cache file is a
 //!   structured load defect and a cold start, not a crash; the next
 //!   commit repairs the file.
 //!
-//! `ams_exec::set_threads` is process-global, so the tests serialize on
-//! one mutex.
+//! `ams_exec::set_threads` and the `AMS_EVAL_CACHE*` environment are
+//! process-global, so the tests serialize on one mutex.
 
 use ams::prelude::*;
 use ams_core::{table1_spec, PulseDetectorModel};
-use ams_exec::{EvalCacheHandle, EvalCachePolicy};
+use ams_exec::{EvalCacheHandle, EvalCachePolicy, EVAL_CACHE_ENV, EVAL_CACHE_PATH_ENV};
 use ams_sizing::{evolve, GaConfig, SimulatedTemplate, TwoStageCircuit};
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -104,6 +107,24 @@ fn batched_parallel_eval_matches_fresh_sequential_bitwise() {
 /// Champion fingerprint: topology, cost bits, sorted param-name/bit pairs.
 type Champion = (String, u64, Vec<(String, u64)>);
 
+/// The `(exec.cache.hit, exec.cache.miss)` pair of a counter delta.
+fn hit_miss(counters: &BTreeMap<String, u64>) -> (u64, u64) {
+    (
+        counters.get("exec.cache.hit").copied().unwrap_or(0),
+        counters.get("exec.cache.miss").copied().unwrap_or(0),
+    )
+}
+
+/// Sorted name/bit pairs of a parameter map.
+fn param_bits(params: &std::collections::HashMap<String, f64>) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = params
+        .iter()
+        .map(|(k, x)| (k.clone(), x.to_bits()))
+        .collect();
+    v.sort();
+    v
+}
+
 /// One seeded GA run under an explicit cache policy; returns the champion
 /// fingerprint and the (hit, miss) counter delta.
 fn ga_run(policy: EvalCachePolicy) -> (Champion, (u64, u64)) {
@@ -119,19 +140,69 @@ fn ga_run(policy: EvalCachePolicy) -> (Champion, (u64, u64)) {
     let mut out = None;
     let counters = counters_of(|| out = Some(evolve(&models, &table1_spec(), &config)));
     let r = out.unwrap();
-    let mut params: Vec<(String, u64)> = r
-        .sizing
-        .params
-        .iter()
-        .map(|(k, v)| (k.clone(), v.to_bits()))
-        .collect();
-    params.sort();
     (
-        (r.topology, r.sizing.cost.to_bits(), params),
         (
-            counters.get("exec.cache.hit").copied().unwrap_or(0),
-            counters.get("exec.cache.miss").copied().unwrap_or(0),
+            r.topology,
+            r.sizing.cost.to_bits(),
+            param_bits(&r.sizing.params),
         ),
+        hit_miss(&counters),
+    )
+}
+
+/// Runs `f` with `AMS_EVAL_CACHE=mode` and, when given,
+/// `AMS_EVAL_CACHE_PATH=path`, restoring both variables afterwards.
+/// Callers hold `LOCK`.
+fn with_eval_cache_env<R>(mode: &str, path: Option<&Path>, f: impl FnOnce() -> R) -> R {
+    let saved = [EVAL_CACHE_ENV, EVAL_CACHE_PATH_ENV].map(|k| (k, std::env::var_os(k)));
+    std::env::set_var(EVAL_CACHE_ENV, mode);
+    match path {
+        Some(p) => std::env::set_var(EVAL_CACHE_PATH_ENV, p),
+        None => std::env::remove_var(EVAL_CACHE_PATH_ENV),
+    }
+    let out = f();
+    for (k, v) in saved {
+        match v {
+            Some(v) => std::env::set_var(k, v),
+            None => std::env::remove_var(k),
+        }
+    }
+    out
+}
+
+/// One seeded `synthesize` run (two-stage opamp, AWE evaluator) under the
+/// cache mode the environment selects; returns the champion fingerprint
+/// and the (hit, miss) counter delta.
+fn synth_run() -> (Champion, (u64, u64)) {
+    let template = TwoStageCircuit::new(Technology::generic_1p2um(), 5e-12);
+    let spec = Spec::new()
+        .require("gain_db", Bound::AtLeast(55.0))
+        .require("ugf_hz", Bound::AtLeast(2e6))
+        .require("phase_margin_deg", Bound::AtLeast(45.0))
+        .minimizing("power_w");
+    let config = AnnealConfig {
+        moves_per_stage: 20,
+        stages: 10,
+        seed: 7,
+        ..Default::default()
+    };
+    let mut out = None;
+    let counters = counters_of(|| {
+        out = Some(synthesize(
+            &template,
+            &spec,
+            AcEvaluator::Awe { order: 3 },
+            &config,
+        ))
+    });
+    let r = out.unwrap();
+    (
+        (
+            template.name().to_string(),
+            r.cost.to_bits(),
+            param_bits(&r.params),
+        ),
+        hit_miss(&counters),
     )
 }
 
@@ -162,6 +233,52 @@ fn persistent_warm_start_reproduces_the_cold_run_bit_exactly() {
         warm_misses < cold_misses / 4,
         "warm run should recompute almost nothing: {warm_misses} vs cold {cold_misses}"
     );
+
+    // The same contract through `synthesize`, whose cache mode and file
+    // come from the environment. Its warm run replays the cold
+    // trajectory, so every probe is answered from the file.
+    let path = std::env::temp_dir().join(format!(
+        "ams_test_warm_start_synth_{}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (off, _) = with_eval_cache_env("off", None, synth_run);
+    let (cold, (cold_hits, cold_misses)) = with_eval_cache_env("disk", Some(&path), synth_run);
+    let (warm, (warm_hits, warm_misses)) = with_eval_cache_env("disk", Some(&path), synth_run);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        off, cold,
+        "synthesize: disk-cold must match the uncached run"
+    );
+    assert_eq!(
+        cold, warm,
+        "synthesize: warm start must reproduce the cold run"
+    );
+    assert!(
+        cold_misses > 0,
+        "synthesize: cold run must compute something"
+    );
+    assert_eq!(
+        warm_misses, 0,
+        "synthesize: warm run must recompute nothing"
+    );
+    assert_eq!(warm_hits, cold_hits + cold_misses);
+}
+
+/// `AMS_EVAL_CACHE=off` reaches `synthesize`: no request is answered from
+/// a cache, and the champion is bit-identical to the memoized run's.
+#[test]
+fn synthesize_with_eval_cache_off_computes_every_request() {
+    let _guard = LOCK.lock().unwrap();
+    ams::trace::set_enabled(true);
+    let (memo, (memo_hits, _)) = with_eval_cache_env("memory", None, synth_run);
+    let (off, (off_hits, off_misses)) = with_eval_cache_env("off", None, synth_run);
+    // The memoized run must actually revisit points, or this proves
+    // nothing about the off mode.
+    assert!(memo_hits > 0, "memory mode must hit the cache");
+    assert_eq!(off_hits, 0, "off mode must not answer from a cache");
+    assert!(off_misses > 0);
+    assert_eq!(off, memo, "off mode must not change the champion");
 }
 
 #[test]

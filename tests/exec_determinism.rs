@@ -16,7 +16,7 @@
 
 use ams::prelude::*;
 use ams_core::table1_spec;
-use ams_sizing::{evolve, optimize, SizingResult};
+use ams_sizing::{evolve, optimize, SizingResult, TwoStageCircuit};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -140,6 +140,61 @@ fn anneal_run_is_identical_at_1_2_and_8_threads() {
     let eight = run(8);
     assert_eq!(serial, two, "anneal run differs between 1 and 2 workers");
     assert_eq!(serial, eight, "anneal run differs between 1 and 8 workers");
+}
+
+/// Simulation-in-the-loop annealing through `synthesize` (AWE evaluator):
+/// the 21-sample init batch fans simulator solves out across the pool,
+/// memoized through the run's eval-cache handle.
+///
+/// The cache mode comes from `AMS_EVAL_CACHE`, so the CI matrix runs this
+/// case under off, memory and disk. In disk mode the first run fills the
+/// journal; an uncompared warm-up run therefore brings every compared run
+/// to the same warmth.
+#[test]
+fn synthesize_run_is_identical_at_1_2_and_8_threads() {
+    let _guard = LOCK.lock().unwrap();
+    ams::trace::set_enabled(true);
+    let spec = Spec::new()
+        .require("gain_db", Bound::AtLeast(55.0))
+        .require("ugf_hz", Bound::AtLeast(2e6))
+        .require("phase_margin_deg", Bound::AtLeast(45.0))
+        .minimizing("power_w");
+    let config = AnnealConfig {
+        moves_per_stage: 20,
+        stages: 10,
+        seed: 7,
+        ..Default::default()
+    };
+    let run = |threads: usize| {
+        // A fresh template per run: it captures its batch analysis from
+        // the first candidate it measures.
+        let template = TwoStageCircuit::new(Technology::generic_1p2um(), 5e-12);
+        ams::exec::set_threads(Some(threads));
+        let mut out = None;
+        let counters = counters_of(|| {
+            out = Some(synthesize(
+                &template,
+                &spec,
+                AcEvaluator::Awe { order: 3 },
+                &config,
+            ))
+        });
+        ams::exec::set_threads(None);
+        fingerprint(&out.unwrap(), counters)
+    };
+    let _warm_up = run(1);
+    let serial = run(1);
+    let two = run(2);
+    let eight = run(8);
+    assert_eq!(
+        serial, two,
+        "synthesize run differs between 1 and 2 workers"
+    );
+    assert_eq!(
+        serial, eight,
+        "synthesize run differs between 1 and 8 workers"
+    );
+    assert!(serial.evaluations > 21, "the chain must have moved");
 }
 
 /// An evaluation budget shared across workers: exhaustion mid-run must be
